@@ -743,7 +743,7 @@ type ObsResources = obs.Resources
 
 // ObsCLI holds the shared observability flags every command binds
 // (-trace, -trace-dt, -trace-chrome, -obs-listen, -obs-summary,
-// -flight-recorder, -pprof, -obs-invariants).
+// -flight-recorder, -obs-invariants).
 type ObsCLI = obscli.CLI
 
 // BindObsFlags registers the observability flags on fs (pass

@@ -137,11 +137,11 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("des: source %d has non-positive control interval %v", i, s.Interval)
 		case !(s.Delay >= 0):
 			return fmt.Errorf("des: source %d has negative delay %v", i, s.Delay)
-		case s.Lambda0 < 0:
-			return fmt.Errorf("des: source %d has negative initial rate %v", i, s.Lambda0)
-		case s.MinRate < 0:
-			return fmt.Errorf("des: source %d has negative rate floor %v", i, s.MinRate)
-		case s.AvgWindow < 0:
+		case !(s.Lambda0 >= 0) || math.IsInf(s.Lambda0, 1):
+			return fmt.Errorf("des: source %d needs a finite non-negative initial rate, got %v", i, s.Lambda0)
+		case !(s.MinRate >= 0) || math.IsInf(s.MinRate, 1):
+			return fmt.Errorf("des: source %d needs a finite non-negative rate floor, got %v", i, s.MinRate)
+		case !(s.AvgWindow >= 0):
 			return fmt.Errorf("des: source %d has negative averaging window %v", i, s.AvgWindow)
 		case s.AvgWindow > 0 && c.Gateway != nil:
 			return fmt.Errorf("des: source %d sets AvgWindow with a gateway configured; use one filtering point, not both", i)
@@ -154,7 +154,7 @@ func (c *Config) Validate() error {
 	if c.Buffer < 0 {
 		return fmt.Errorf("des: negative buffer %d", c.Buffer)
 	}
-	if c.SampleEvery < 0 {
+	if !(c.SampleEvery >= 0) {
 		return fmt.Errorf("des: negative sample period %v", c.SampleEvery)
 	}
 	return nil

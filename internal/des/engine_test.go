@@ -32,6 +32,12 @@ func TestValidate(t *testing.T) {
 		{Mu: 10, Sources: []SourceConfig{{Law: l, Interval: 0.1, Lambda0: -1}}},
 		{Mu: 10, Sources: []SourceConfig{{Law: l, Interval: 0.1, MinRate: -1}}},
 		{Mu: 10, Sources: []SourceConfig{{Law: l, Interval: 0.1}}, SampleEvery: -1},
+		{Mu: 10, Sources: []SourceConfig{{Law: l, Interval: 0.1, Lambda0: math.NaN()}}},
+		{Mu: 10, Sources: []SourceConfig{{Law: l, Interval: 0.1, Lambda0: math.Inf(1)}}},
+		{Mu: 10, Sources: []SourceConfig{{Law: l, Interval: 0.1, MinRate: math.NaN()}}},
+		{Mu: 10, Sources: []SourceConfig{{Law: l, Interval: 0.1, MinRate: math.Inf(1)}}},
+		{Mu: 10, Sources: []SourceConfig{{Law: l, Interval: 0.1, AvgWindow: math.NaN()}}},
+		{Mu: 10, Sources: []SourceConfig{{Law: l, Interval: 0.1}}, SampleEvery: math.NaN()},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {

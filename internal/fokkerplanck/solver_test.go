@@ -40,6 +40,9 @@ func TestValidate(t *testing.T) {
 		func(c *Config) { c.NV = 2 },
 		func(c *Config) { c.VMax = c.VMin },
 		func(c *Config) { c.DelayTau = -1 },
+		func(c *Config) { c.DelayTau = math.NaN() },
+		func(c *Config) { c.SigmaV = -1 },
+		func(c *Config) { c.SigmaV = math.NaN() },
 	}
 	for i, mut := range muts {
 		c := baseConfig()

@@ -159,7 +159,6 @@ func (k *ClassKernel) MeanRate() float64 {
 	}
 	var mass, m1 float64
 	for _, rd := range k.ph {
-		rd.syncF64()
 		for i, v := range rd.f {
 			mass += v
 			m1 += v * rd.lc[i]
@@ -179,7 +178,6 @@ func (k *ClassKernel) Moments() (mean, variance float64) {
 	}
 	var mass, m1 float64
 	for _, rd := range k.ph {
-		rd.syncF64()
 		for i, v := range rd.f {
 			mass += v
 			m1 += v * rd.lc[i]

@@ -55,15 +55,6 @@ type RateDensity struct {
 	// ∫f = base + clipped + born − died. All three stay untouched on
 	// closed kernels, reducing the budget to the classic 1 + clipped.
 	base, born, died float64
-
-	// Float32 lane (NewRateDensity32): f32 is the authoritative
-	// density and f its lazily-synced float64 widening — every reader
-	// calls syncF64 first. The transport and diffusion sweeps run
-	// single-precision; drifts, CFL checks and the clipped audit stay
-	// float64. First-order upwind only.
-	f32, tmp32, col32 []float32
-	fac32             linalg.CNFactor32
-	f32Dirty          bool
 }
 
 // NewRateDensity builds the kernel on a Bins-cell grid over [0, lMax],
@@ -117,40 +108,11 @@ func blobProfile(ax grid.Uniform1D, lc []float64, lambda0, initStd float64) ([]f
 	return f, nil
 }
 
-// NewRateDensity32 is NewRateDensity with single-precision density
-// storage and float32 transport/diffusion sweeps — the kernel's
-// Float32 lane. Only first-order upwind transport is supported (no
-// secondOrder parameter); every observable is computed on a float64
-// widening of the field, so callers see the same API with results
-// differing from the float64 kernel only in the trailing digits.
-func NewRateDensity32(lMax float64, bins int, lambda0, initStd float64) (*RateDensity, error) {
-	r, err := NewRateDensity(lMax, bins, lambda0, initStd, false)
-	if err != nil {
-		return nil, err
-	}
-	r.f32 = make([]float32, bins)
-	r.tmp32 = make([]float32, bins)
-	r.col32 = make([]float32, bins)
-	linalg.Narrow(r.f32, r.f)
-	r.f32Dirty = true // reads widen the rounded initial condition back
-	return r, nil
-}
-
-// syncF64 refreshes the float64 widening on the float32 lane; a no-op
-// otherwise.
-func (r *RateDensity) syncF64() {
-	if r.f32Dirty {
-		linalg.Widen(r.f, r.f32)
-		r.f32Dirty = false
-	}
-}
-
 // Grid returns the λ-axis the density lives on.
 func (r *RateDensity) Grid() grid.Uniform1D { return r.ax }
 
 // Marginal returns a copy of the density (length Bins, cell-centered).
 func (r *RateDensity) Marginal() []float64 {
-	r.syncF64()
 	return append([]float64(nil), r.f...)
 }
 
@@ -176,7 +138,6 @@ func (r *RateDensity) Died() float64 { return r.died }
 // Mass = base + ClippedMass + Born − Died to rounding (base is 1, and
 // the ledger zero, outside the open-system configurations).
 func (r *RateDensity) Mass() float64 {
-	r.syncF64()
 	var m float64
 	for _, v := range r.f {
 		m += v
@@ -195,7 +156,6 @@ func (r *RateDensity) Courant() float64 { return r.courant }
 // cached Courant margin. Field names are prefixed with field (e.g.
 // "mf.class0" → "mf.class0.mass").
 func (r *RateDensity) CheckInvariants(rec *obs.Recorder, step int64, t float64, field string) error {
-	r.syncF64()
 	if err := rec.CheckMass(step, t, field+".mass", r.Mass(), r.base+r.clipped+r.born-r.died, rec.MassTol()); err != nil {
 		return err
 	}
@@ -208,7 +168,6 @@ func (r *RateDensity) CheckInvariants(rec *obs.Recorder, step int64, t float64, 
 // MeanRate returns ⟨λ⟩, the mean rate of the density normalized by
 // its current mass, in a single O(Bins) pass.
 func (r *RateDensity) MeanRate() float64 {
-	r.syncF64()
 	var mass, m1 float64
 	for i, v := range r.f {
 		mass += v
@@ -223,7 +182,6 @@ func (r *RateDensity) MeanRate() float64 {
 // Moments returns the mean and variance of the density, normalized by
 // its current mass.
 func (r *RateDensity) Moments() (mean, variance float64) {
-	r.syncF64()
 	var mass, m1 float64
 	for i, v := range r.f {
 		mass += v
@@ -268,10 +226,6 @@ func (r *RateDensity) SetDrift(law control.Law, qObs, dt float64) error {
 // second-order. Both ends are zero-flux (a source's rate cannot leave
 // [0, LMax]), so transport conserves mass exactly.
 func (r *RateDensity) Advect(dt float64) {
-	if r.f32 != nil {
-		r.advect32(dt)
-		return
-	}
 	f := r.f
 	nb := r.ax.N
 	dl := r.ax.Dx
@@ -315,12 +269,6 @@ func (r *RateDensity) Advect(dt float64) {
 func (r *RateDensity) Diffuse(sigma, dt float64) {
 	dl := r.ax.Dx
 	rr := 0.5 * sigma * sigma * dt / (2 * dl * dl) // θ=1/2 CN factor
-	if r.f32 != nil {
-		r.fac32.Ensure(rr, r.ax.N)
-		r.fac32.Step(r.f32, r.col32)
-		r.f32Dirty = true
-		return
-	}
 	r.fac.Ensure(rr, r.ax.N)
 	r.fac.Step(r.f, r.col)
 }
@@ -330,11 +278,6 @@ func (r *RateDensity) Diffuse(sigma, dt float64) {
 // the audit quantity stays available without biasing any coupling
 // (means are normalized by the current mass).
 func (r *RateDensity) ClampNegative() {
-	if r.f32 != nil {
-		r.clipped += -linalg.ClampNonNegative32(r.f32) * r.ax.Dx
-		r.f32Dirty = true
-		return
-	}
 	r.clipped += -linalg.ClampNonNegative(r.f) * r.ax.Dx
 }
 
@@ -345,10 +288,6 @@ func (r *RateDensity) ClampNegative() {
 func (r *RateDensity) ScaleInit(w float64) {
 	linalg.Scale(w, r.f)
 	r.base = w
-	if r.f32 != nil {
-		linalg.Narrow(r.f32, r.f)
-		r.f32Dirty = true
-	}
 }
 
 // BlobProfile returns the unit-mass (∫ = 1) grid discretization of
@@ -362,15 +301,10 @@ func (r *RateDensity) BlobProfile(lambda0, initStd float64) ([]float64, error) {
 // density as returned by BlobProfile), crediting the born ledger: the
 // birth half of the open-system source term.
 func (r *RateDensity) Deposit(profile []float64, mass float64) {
-	r.syncF64()
 	for i := range r.f {
 		r.f[i] += mass * profile[i]
 	}
 	r.born += mass
-	if r.f32 != nil {
-		linalg.Narrow(r.f32, r.f)
-		r.f32Dirty = true
-	}
 }
 
 // Decay removes the fraction frac of the current mass uniformly
@@ -383,38 +317,7 @@ func (r *RateDensity) Decay(frac float64) {
 	if frac == 0 {
 		return
 	}
-	r.syncF64()
 	removed := frac * r.Mass()
 	linalg.Scale(1-frac, r.f)
 	r.died += removed
-	if r.f32 != nil {
-		linalg.Narrow(r.f32, r.f)
-		r.f32Dirty = true
-	}
-}
-
-// advect32 is the float32 first-order upwind transport sweep: same
-// edge-flux scheme as Advect, single-precision field arithmetic, with
-// each edge coefficient g·dt/Δλ rounded once from the float64 drift.
-func (r *RateDensity) advect32(dt float64) {
-	f := r.f32
-	nb := r.ax.N
-	dl := r.ax.Dx
-	copy(r.tmp32, f)
-	for e := 1; e < nb; e++ { // interior edges; 0 and nb are zero-flux
-		a := r.drift[e]
-		if a == 0 {
-			continue
-		}
-		var up float32
-		if a > 0 {
-			up = r.tmp32[e-1]
-		} else {
-			up = r.tmp32[e]
-		}
-		dm := float32(a*dt/dl) * up
-		f[e-1] -= dm
-		f[e] += dm
-	}
-	r.f32Dirty = true
 }

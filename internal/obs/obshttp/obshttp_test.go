@@ -244,3 +244,32 @@ func TestScrapeDuringRun(t *testing.T) {
 		t.Error("no ops observed across the live scrapes")
 	}
 }
+
+// TestPprofRoutes: -obs-listen is the only way a CLI serves profiles,
+// so the monitoring mux must answer the pprof index and a named
+// handler.
+func TestPprofRoutes(t *testing.T) {
+	srv := New()
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	for _, path := range []string{"/debug/pprof/", "/debug/pprof/cmdline"} {
+		resp, err := http.Get("http://" + addr + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("GET %s: status %d, want 200", path, resp.StatusCode)
+		}
+		if len(body) == 0 {
+			t.Errorf("GET %s: empty body", path)
+		}
+	}
+}
