@@ -1,7 +1,7 @@
 // Command fpccvet is the repository's determinism-and-contracts lint
-// suite: five analyzers (walltime, maprange, seedflow, obsgate,
-// sharedwrite) encoding the standing invariants every engine is built
-// on, bundled as a vet tool.
+// suite: six analyzers (walltime, maprange, seedflow, obsgate,
+// sharedwrite, innergrant) encoding the standing invariants every
+// engine is built on, bundled as a vet tool.
 //
 // It runs two ways:
 //
@@ -27,6 +27,7 @@ import (
 	"strings"
 
 	"fpcc/internal/analysis"
+	"fpcc/internal/analysis/innergrant"
 	"fpcc/internal/analysis/load"
 	"fpcc/internal/analysis/maprange"
 	"fpcc/internal/analysis/obsgate"
@@ -42,6 +43,7 @@ var analyzers = []*analysis.Analyzer{
 	seedflow.Analyzer,
 	obsgate.Analyzer,
 	sharedwrite.Analyzer,
+	innergrant.Analyzer,
 }
 
 func main() {

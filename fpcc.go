@@ -51,6 +51,7 @@ package fpcc
 import (
 	"flag"
 	"io"
+	"runtime"
 
 	"fpcc/internal/characteristics"
 	"fpcc/internal/churn"
@@ -142,7 +143,19 @@ type FPMoments = fokkerplanck.Moments
 
 // NewFokkerPlanck builds an Eq. 14 solver.
 func NewFokkerPlanck(cfg FokkerPlanckConfig) (*FokkerPlanck, error) {
+	cfg.Workers = allCores(cfg.Workers)
 	return fokkerplanck.New(cfg)
+}
+
+// allCores resolves the facade's worker default: the engines treat a
+// zero bound as serial, while the facade is a top level and hands
+// them every core (GOMAXPROCS). Other values pass through unchanged,
+// so a negative bound still reaches the engine's validation.
+func allCores(workers int) int {
+	if workers == 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return workers
 }
 
 // Point is a phase-plane state (Q, λ).
@@ -312,9 +325,13 @@ type SweepCell = netsim.CellResult
 // WriteJSON render it byte-identically for any worker count.
 type SweepResult = netsim.SweepResult
 
-// RunSweep shards the grid across parallel workers and aggregates
-// per-flow throughput, fairness and queue statistics per cell.
-func RunSweep(cfg SweepConfig) (*SweepResult, error) { return netsim.Sweep(cfg) }
+// RunSweep shards the grid across up to cfg.Workers parallel workers
+// (0 = GOMAXPROCS) and aggregates per-flow throughput, fairness and
+// queue statistics per cell.
+func RunSweep(cfg SweepConfig) (*SweepResult, error) {
+	cfg.Workers = allCores(cfg.Workers)
+	return netsim.Sweep(cfg)
+}
 
 // Engine-agnostic parameter sweeps (internal/sweep): the worker-pool,
 // deterministic-seeding and byte-stable-aggregation machinery behind
@@ -333,7 +350,8 @@ type Grid = sweep.Grid
 // dimension values, and deterministic per-cell seed.
 type GridCell = sweep.Cell
 
-// GridConfig describes a generic sweep: grid, base seed, worker bound.
+// GridConfig describes a generic sweep: grid, base seed, worker bound
+// (0 = GOMAXPROCS through SweepGrid and SweepGridRows).
 type GridConfig = sweep.Config
 
 // GridRow is one cell's output under a named-column schema (float64,
@@ -349,12 +367,14 @@ type GridResult = sweep.Result
 // cfg.Workers goroutines and returns the results in grid order. The
 // error, if any, reports the lowest-indexed failing cell.
 func SweepGrid[T any](cfg GridConfig, fn func(GridCell) (T, error)) ([]T, error) {
+	cfg.Workers = allCores(cfg.Workers)
 	return sweep.Run(cfg, fn)
 }
 
 // SweepGridRows evaluates a sweep whose cells produce named-column
 // rows, for byte-stable CSV/JSON emission.
 func SweepGridRows(cfg GridConfig, columns []string, fn func(GridCell) (GridRow, error)) (*GridResult, error) {
+	cfg.Workers = allCores(cfg.Workers)
 	return sweep.RunRows(cfg, columns, fn)
 }
 
@@ -391,13 +411,16 @@ func MeanFieldClasses(classes ...MeanFieldClass) []MeanFieldClass { return class
 
 // NewMeanField builds the kinetic engine: per-class rate densities on
 // a shared λ-grid, upwind or MUSCL transport, coupled queue ODE.
-func NewMeanField(cfg MeanFieldConfig) (*MeanField, error) { return meanfield.NewDensity(cfg) }
+func NewMeanField(cfg MeanFieldConfig) (*MeanField, error) {
+	cfg.Workers = allCores(cfg.Workers)
+	return meanfield.NewDensity(cfg)
+}
 
 // NewMeanFieldParticles builds the finite-N particle backend; workers
 // bounds the per-step parallelism (0 = GOMAXPROCS) and never affects
 // results.
 func NewMeanFieldParticles(cfg MeanFieldConfig, seed uint64, workers int) (*MeanFieldParticles, error) {
-	return meanfield.NewParticles(cfg, seed, workers)
+	return meanfield.NewParticles(cfg, seed, allCores(workers))
 }
 
 // MeanFieldStepper is the stepping surface both mean-field backends
@@ -442,7 +465,10 @@ type NetMeanFieldConfig = netmf.Config
 type NetMeanField = netmf.Engine
 
 // NewNetMeanField builds the networked kinetic engine.
-func NewNetMeanField(cfg NetMeanFieldConfig) (*NetMeanField, error) { return netmf.New(cfg) }
+func NewNetMeanField(cfg NetMeanFieldConfig) (*NetMeanField, error) {
+	cfg.Workers = allCores(cfg.Workers)
+	return netmf.New(cfg)
+}
 
 // NetMeanFieldSteadyStats advances the networked engine to the
 // horizon and returns the window-averaged per-node queues and
@@ -555,7 +581,10 @@ type EnsembleConfig = sde.Config
 type Ensemble = sde.Ensemble
 
 // NewEnsemble builds a particle ensemble.
-func NewEnsemble(cfg EnsembleConfig) (*Ensemble, error) { return sde.New(cfg) }
+func NewEnsemble(cfg EnsembleConfig) (*Ensemble, error) {
+	cfg.Workers = allCores(cfg.Workers)
+	return sde.New(cfg)
+}
 
 // JainIndex is Jain's fairness index (1 = perfectly fair).
 func JainIndex(alloc []float64) float64 { return stats.JainIndex(alloc) }

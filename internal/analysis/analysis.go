@@ -3,8 +3,9 @@
 // go/analysis API (Analyzer, Pass, Diagnostic) plus the shared
 // suppression-comment machinery every fpcc analyzer uses.
 //
-// The five analyzers built on it (walltime, maprange, seedflow,
-// obsgate, sharedwrite — one package each under internal/analysis/)
+// The six analyzers built on it (walltime, maprange, seedflow,
+// obsgate, sharedwrite, innergrant — one package each under
+// internal/analysis/)
 // encode the determinism and zero-overhead contracts the rest of the
 // repository is built on; cmd/fpccvet bundles them into a vet tool
 // runnable standalone or as `go vet -vettool=$(which fpccvet) ./...`.

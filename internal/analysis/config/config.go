@@ -88,6 +88,26 @@ var (
 	SweepPackage    = Module + "/internal/sweep"
 )
 
+// ExperimentsPackage is the experiment registry, where the innergrant
+// analyzer requires every engine config to name its worker bound.
+var ExperimentsPackage = Module + "/internal/experiments"
+
+// WorkerConfigs are the engine and pool configuration types whose
+// Workers field reads 0 as serial, keyed by package path: a literal
+// of one of them in ExperimentsPackage must set Workers (innergrant).
+var WorkerConfigs = map[string]string{
+	Module + "/internal/fokkerplanck": "Config",
+	Module + "/internal/sde":          "Config",
+	Module + "/internal/meanfield":    "Config",
+	Module + "/internal/netmf":        "Config",
+	Module + "/internal/sweep":        "Config",
+	Module + "/internal/netsim":       "SweepConfig",
+}
+
+// MeanfieldPackage hosts NewParticles, whose worker bound is a
+// positional argument (innergrant flags a constant 0 there).
+var MeanfieldPackage = Module + "/internal/meanfield"
+
 // In reports whether pkgPath is one of the listed packages.
 func In(pkgPath string, list []string) bool {
 	for _, p := range list {

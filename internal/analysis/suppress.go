@@ -10,7 +10,7 @@ import (
 // walltime analyzer's token is "wallclock" (the engines' sim-clock
 // contract predates the analyzer and its comments were specified that
 // way); every other analyzer's token is its name.
-var KnownTokens = []string{"wallclock", "maprange", "seedflow", "obsgate", "sharedwrite"}
+var KnownTokens = []string{"wallclock", "maprange", "seedflow", "obsgate", "sharedwrite", "innergrant"}
 
 // suppression is one parsed //fpcc:<token> comment.
 type suppression struct {

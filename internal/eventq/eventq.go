@@ -28,72 +28,88 @@ func seqBefore(a, b uint64) bool { return int64(a-b) < 0 }
 
 // Q is a binary min-heap of events ordered by (time, sequence).
 // The zero value is an empty queue ready for use.
+//
+// Each slot caches its event's key next to the event, so the sift
+// loops compare plain fields: Key is called once per Push instead of
+// twice per comparison, where a call through the type parameter is
+// an indirect call the compiler cannot inline.
 type Q[E Event] struct {
-	es []E
+	es []slot[E]
+}
+
+// slot is one heap entry: an event and its cached (time, sequence)
+// key.
+type slot[E Event] struct {
+	t   float64
+	seq uint64
+	e   E
+}
+
+// before reports whether slot a orders before slot b.
+func (a *slot[E]) before(b *slot[E]) bool {
+	if a.t != b.t {
+		return a.t < b.t
+	}
+	return seqBefore(a.seq, b.seq)
 }
 
 // Len returns the number of queued events.
 func (q *Q[E]) Len() int { return len(q.es) }
 
-// less reports whether event i orders before event j.
-func (q *Q[E]) less(i, j int) bool {
-	ti, si := q.es[i].Key()
-	tj, sj := q.es[j].Key()
-	if ti != tj {
-		return ti < tj
-	}
-	return seqBefore(si, sj)
-}
-
 // Push adds an event to the queue.
 func (q *Q[E]) Push(e E) {
-	q.es = append(q.es, e)
-	// Sift up.
+	t, seq := e.Key()
+	s := slot[E]{t: t, seq: seq, e: e}
+	q.es = append(q.es, s)
+	// Sift up: move parents down into the hole until s fits.
 	i := len(q.es) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !q.less(i, parent) {
+		if !s.before(&q.es[parent]) {
 			break
 		}
-		q.es[i], q.es[parent] = q.es[parent], q.es[i]
+		q.es[i] = q.es[parent]
 		i = parent
 	}
+	q.es[i] = s
 }
 
 // Pop removes and returns the earliest event. It panics on an empty
 // queue (callers guard with Len, as with container/heap).
 func (q *Q[E]) Pop() E {
-	top := q.es[0]
+	top := q.es[0].e
 	n := len(q.es) - 1
-	q.es[0] = q.es[n]
-	var zero E
-	q.es[n] = zero // release references held by the vacated slot
+	last := q.es[n]
+	q.es[n] = slot[E]{} // release references held by the vacated slot
 	q.es = q.es[:n]
-	// Sift down.
+	if n == 0 {
+		return top
+	}
+	// Sift down: move the earlier child up into the hole until last
+	// fits.
 	i := 0
 	for {
-		left := 2*i + 1
-		if left >= n {
+		child := 2*i + 1
+		if child >= n {
 			break
 		}
-		child := left
-		if right := left + 1; right < n && q.less(right, left) {
+		if right := child + 1; right < n && q.es[right].before(&q.es[child]) {
 			child = right
 		}
-		if !q.less(child, i) {
+		if !q.es[child].before(&last) {
 			break
 		}
-		q.es[i], q.es[child] = q.es[child], q.es[i]
+		q.es[i] = q.es[child]
 		i = child
 	}
+	q.es[i] = last
 	return top
 }
 
 // NextTime returns the timestamp of the earliest queued event. It
 // panics on an empty queue (callers guard with Len, as with Pop).
 func (q *Q[E]) NextTime() float64 {
-	t, _ := q.es[0].Key()
-	return t
+	return q.es[0].t
 }
 
 // PopBatch removes every event sharing the earliest queued timestamp
@@ -113,13 +129,10 @@ func (q *Q[E]) PopBatch(dst []E) []E {
 	if len(q.es) == 0 {
 		return dst
 	}
-	t0, _ := q.es[0].Key()
+	t0 := q.es[0].t
 	for {
 		dst = append(dst, q.Pop())
-		if len(q.es) == 0 {
-			return dst
-		}
-		if t, _ := q.es[0].Key(); t != t0 {
+		if len(q.es) == 0 || q.es[0].t != t0 {
 			return dst
 		}
 	}

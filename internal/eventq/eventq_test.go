@@ -162,3 +162,42 @@ func TestSeqWraparoundTieBreak(t *testing.T) {
 		}
 	}
 }
+
+// countedEv counts its Key calls in a counter shared by every event.
+type countedEv struct {
+	t     float64
+	seq   uint64
+	calls *int
+}
+
+func (e countedEv) Key() (float64, uint64) {
+	*e.calls++
+	return e.t, e.seq
+}
+
+// TestKeyReadOncePerPush pins the cached-key heap: the sift loops
+// compare the key stored with each slot, so Key runs once per Push and
+// never during Pop, PopBatch or NextTime.
+func TestKeyReadOncePerPush(t *testing.T) {
+	const n = 1000
+	calls := 0
+	r := rng.New(7)
+	var q Q[countedEv]
+	for seq := uint64(0); seq < n; seq++ {
+		q.Push(countedEv{t: float64(r.Intn(40)), seq: seq, calls: &calls})
+	}
+	if calls != n {
+		t.Fatalf("%d Push calls read Key %d times, want %d", n, calls, n)
+	}
+	var batch []countedEv
+	for q.Len() > n/2 {
+		q.NextTime()
+		q.Pop()
+	}
+	for q.Len() > 0 {
+		batch = q.PopBatch(batch[:0])
+	}
+	if calls != n {
+		t.Fatalf("draining read Key %d more times, want 0", calls-n)
+	}
+}

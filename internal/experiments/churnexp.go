@@ -58,10 +58,12 @@ func e32Table(rc *Recorder, workers int) (*Table, error) {
 		}
 	}
 	build := func(classes []meanfield.Class, obs *Recorder) (*meanfield.Density, error) {
+		// The grant is spent on the sweep cells; the baseline and
+		// every cell step their classes serially.
 		return meanfield.NewDensity(meanfield.Config{
 			Classes: classes,
 			Mu:      mu, LMax: 4, Bins: 160, Dt: 0.01, Q0: 2 * float64(n),
-			SecondOrder: true, Obs: obs,
+			SecondOrder: true, Workers: 1, Obs: obs,
 		})
 	}
 
@@ -348,7 +350,9 @@ func e34Table(rc *Recorder, workers int) (*Table, error) {
 				{Name: "cross1", Law: law, N: n, Route: []int{1},
 					Lambda0: 1, InitStd: 0.3, SigmaL: 0.3},
 			},
-			LMax: 4, Bins: 160, Dt: 0.01, SecondOrder: true, Obs: obs,
+			// The grant is spent on the sweep cells; the baseline and
+			// every cell step their classes serially.
+			LMax: 4, Bins: 160, Dt: 0.01, SecondOrder: true, Workers: 1, Obs: obs,
 		})
 	}
 	measure := func(e *netmf.Engine) (pop, long, minCross, qPerHop float64, err error) {

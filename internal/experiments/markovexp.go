@@ -47,6 +47,7 @@ func E17FokkerPlanckVsMarkov(ctx *Ctx) (*Table, error) {
 	fp, err := fokkerplanck.New(fokkerplanck.Config{
 		Law: law, Mu: mu, Sigma: sigma,
 		QMax: qMax, NQ: 80, VMin: -12, VMax: 12, NV: 96,
+		Workers: ctx.Inner(),
 	})
 	if err != nil {
 		return nil, err

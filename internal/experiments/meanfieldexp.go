@@ -19,7 +19,8 @@ import (
 // mfScaledConfig is the canonical scaled scenario shared by E28's
 // cells: n sources with unit service share, total queue target 2n, so
 // observables per source are N-invariant and the mean-field limit is
-// approached along a fixed trajectory.
+// approached along a fixed trajectory. The density engine runs
+// serially: E28 spends its grant on the particle sweep cells.
 func mfScaledConfig(n int) meanfield.Config {
 	return meanfield.Config{
 		Classes: []meanfield.Class{{
@@ -28,6 +29,7 @@ func mfScaledConfig(n int) meanfield.Config {
 			Lambda0: 1, InitStd: 0.3, SigmaL: 0.3,
 		}},
 		Mu: float64(n), LMax: 4, Bins: 160, Dt: 0.01, Q0: 2 * float64(n),
+		Workers: 1,
 	}
 }
 
@@ -211,7 +213,10 @@ func e29Table(rc *Recorder, workers int) (*Table, error) {
 				},
 			},
 			Mu: total, LMax: 6, Bins: 192, Dt: 0.005, Q0: qhat, SecondOrder: true,
-			Obs: rc.Child("cell" + strconv.Itoa(c.Index)),
+			// The grant is spent on the sweep cells; each cell steps
+			// its two classes serially.
+			Workers: 1,
+			Obs:     rc.Child("cell" + strconv.Itoa(c.Index)),
 		}
 		d, err := meanfield.NewDensity(cfg)
 		if err != nil {

@@ -62,6 +62,9 @@ func e30Table(rc *Recorder, workers int) (*Table, error) {
 			return cellOut{}, err
 		}
 		cfg.SecondOrder = true
+		// The grant is spent on the sweep cells; each cell steps its
+		// classes serially.
+		cfg.Workers = 1
 		cfg.Obs = rc.Child("cell" + strconv.Itoa(c.Index))
 		e, err := netmf.New(cfg)
 		if err != nil {
@@ -168,6 +171,7 @@ func e31Table(rc *Recorder, workers int) (*Table, error) {
 			return cellOut{}, err
 		}
 		cfg.SecondOrder = true
+		cfg.Workers = 1 // the grant is spent on the sweep cells
 		cfg.Obs = rc.Child("cell" + strconv.Itoa(c.Index))
 		e, err := netmf.New(cfg)
 		if err != nil {

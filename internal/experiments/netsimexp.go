@@ -92,6 +92,7 @@ func E27BottleneckMigration(ctx *Ctx) (*Table, error) {
 		Horizon:  1500,
 		Warmup:   200,
 		BaseSeed: 27,
+		Workers:  ctx.Inner(),
 	}
 	res, err := netsim.Sweep(sweep)
 	if err != nil {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"regexp"
+	"runtime"
 	"testing"
 )
 
@@ -66,15 +67,16 @@ func TestNegotiateInner(t *testing.T) {
 }
 
 // TestCtxNil: a nil context is the valid direct-invocation default —
-// no recorder, unconstrained grant — and the SetInnerWorkers override
-// applies to it too.
+// no recorder, a grant of every core resolved explicitly (the engines
+// read 0 as serial, so the top level must hand down GOMAXPROCS) — and
+// the SetInnerWorkers override applies to it too.
 func TestCtxNil(t *testing.T) {
 	var c *Ctx
 	if c.Rec() != nil {
 		t.Error("nil ctx has a recorder")
 	}
-	if c.Inner() != 0 {
-		t.Errorf("nil ctx grant = %d, want 0 (GOMAXPROCS)", c.Inner())
+	if want := runtime.GOMAXPROCS(0); c.Inner() != want {
+		t.Errorf("nil ctx grant = %d, want GOMAXPROCS = %d", c.Inner(), want)
 	}
 	SetInnerWorkers(3)
 	defer SetInnerWorkers(0)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"regexp"
+	"runtime"
 	"time"
 
 	"fpcc/internal/obs"
@@ -24,7 +25,8 @@ type SuiteConfig struct {
 	// Filter selects experiments whose ID, Title or any Tag matches;
 	// nil runs everything.
 	Filter *regexp.Regexp
-	// Workers bounds the parallelism (0 means GOMAXPROCS).
+	// Workers bounds the parallelism (0 means GOMAXPROCS: the suite
+	// runner is a top level, so it resolves the machine's budget).
 	Workers int
 	// Obs, when non-nil, instruments the run: each experiment gets a
 	// recorder scoped to its ID (streaming probes/spans/violations to
@@ -119,12 +121,15 @@ func RunSuite(cfg SuiteConfig) (*Suite, error) {
 		return nil, fmt.Errorf("experiments: %w", ErrNoMatch)
 	}
 	outer := cfg.Workers
+	if outer <= 0 {
+		outer = runtime.GOMAXPROCS(0)
+	}
 	if n := len(selected); outer > n {
 		outer = n
 	}
 	suiteRec := cfg.Obs.Recorder("suite")
 	runStart := obs.ReadResources()
-	reports, err := sweep.MapWorker(len(selected), cfg.Workers, func(w, i int) (Report, error) {
+	reports, err := sweep.MapWorker(len(selected), outer, func(w, i int) (Report, error) {
 		rec := cfg.Obs.Recorder(selected[i].ID)
 		sp := suiteRec.WorkerSpan("exp."+selected[i].ID, w)
 		before := obs.ReadResources()

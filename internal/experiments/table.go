@@ -237,7 +237,7 @@ func All() []Experiment {
 		{"E14", "FP advection scheme ablation (upwind vs MUSCL)", []string{"core", "fokkerplanck", "ablation"}, E14SchemeAblation, 8},
 		{"E15", "Poincaré return map and quadratic contraction law", []string{"core", "characteristics"}, E15ReturnMapLaw, 0},
 		{"E16", "multi-hop tandem network: share vs hop count", []string{"extension", "des", "multihop"}, E16TandemHopCount, 0},
-		{"E17", "Fokker-Planck vs exact Markov chain (Eq. 14 ground truth)", []string{"extension", "fokkerplanck", "markov"}, E17FokkerPlanckVsMarkov, 0},
+		{"E17", "Fokker-Planck vs exact Markov chain (Eq. 14 ground truth)", []string{"extension", "fokkerplanck", "markov"}, E17FokkerPlanckVsMarkov, 8},
 		{"E18", "AIMD under bursty (on/off) traffic: variability sweep", []string{"extension", "des", "traffic", "sweep"}, E18BurstinessSweep, 4},
 		{"E19", "delayed-feedback stability boundary (Hopf point)", []string{"extension", "dde", "stability", "sweep"}, E19StabilityBoundary, 7},
 		{"E20", "gateway feedback disciplines: threshold vs DECbit vs RED", []string{"extension", "des", "gateway"}, E20GatewayComparison, 0},
@@ -247,7 +247,7 @@ func All() []Experiment {
 		{"E24", "n delayed sources: shared-loop oscillation, invariant budget", []string{"extension", "dde", "stability", "sweep"}, E24MultiSourceDelay, 4},
 		{"E25", "explicit queue feedback vs implicit loss feedback", []string{"extension", "des"}, E25ImplicitVsExplicit, 0},
 		{"E26", "parking-lot topology fairness (netsim)", []string{"extension", "netsim", "multihop"}, E26ParkingLotFairness, 0},
-		{"E27", "cross-traffic bottleneck migration (netsim sweep)", []string{"extension", "netsim", "sweep"}, E27BottleneckMigration, 0},
+		{"E27", "cross-traffic bottleneck migration (netsim sweep)", []string{"extension", "netsim", "sweep"}, E27BottleneckMigration, 6},
 		{"E28", "mean-field convergence: particles vs density in N", []string{"extension", "meanfield", "sde", "sweep"}, E28MeanFieldConvergence, 8},
 		{"E29", "heterogeneous RTT mix at N=10⁶ (mean-field sweep)", []string{"extension", "meanfield", "fairness", "sweep"}, E29HeterogeneousRTTMix, 8},
 		{"E30", "parking-lot fairness in the large-N limit (netmf sweep)", []string{"extension", "netmf", "multihop", "fairness", "sweep"}, E30ParkingLotLargeN, 6},

@@ -9,23 +9,33 @@ import "runtime"
 // and ensemble pools it runs internally (Fokker-Planck row sweeps,
 // SDE particle chunks, sweep cells). Outer and inner workers draw
 // from one shared budget, GOMAXPROCS, so the suite never oversubscribes
-// the machine: grant = clamp(budget/outer, 1, Width). Every engine is
-// deterministic in its worker bound, so any (outer, inner) split
-// renders byte-identical tables — the split moves wall-clock time
-// only.
+// the machine: grant = clamp(budget/outer, 1, Width).
+//
+// Parallelism is granted, never assumed. The engines and pools treat
+// a zero worker bound as serial, so the grant is the only parallelism
+// an experiment has, and it spends it in exactly one place: an
+// experiment that runs its grid on sweep.Run gives the grant to the
+// sweep cells and builds each cell's engine with Workers: 1, while a
+// single-solver experiment gives it to the solver. Only this file, the
+// suite runner and the top levels (CLIs, the fpcc facade) resolve
+// GOMAXPROCS.
+//
+// Every engine is deterministic in its worker bound, so any (outer,
+// inner) split renders byte-identical tables — the split moves
+// wall-clock time only.
 
 // Ctx is the per-experiment run context handed to every Experiment.Run:
 // the experiment's recorder (nil when observability is off) and its
 // negotiated inner-worker grant. A nil *Ctx is valid — the
 // zero-overhead default for direct invocations — and means no recorder
-// and an unconstrained grant (GOMAXPROCS).
+// and a grant of GOMAXPROCS (a direct invocation is a top level).
 type Ctx struct {
 	rec   *Recorder
 	inner int
 }
 
 // NewCtx builds a run context: rec may be nil (no observability);
-// inner is the inner-worker grant (0 = GOMAXPROCS).
+// inner is the inner-worker grant (0 = serial).
 func NewCtx(rec *Recorder, inner int) *Ctx { return &Ctx{rec: rec, inner: inner} }
 
 // Rec returns the experiment's recorder; nil on a nil context (the
@@ -39,13 +49,14 @@ func (c *Ctx) Rec() *Recorder {
 
 // Inner returns the experiment's inner-worker bound: the
 // SetInnerWorkers override when set, else the context's negotiated
-// grant (0 = GOMAXPROCS, the direct-invocation default).
+// grant, or GOMAXPROCS on a nil context (the direct-invocation
+// default).
 func (c *Ctx) Inner() int {
 	if innerWorkersBound > 0 {
 		return innerWorkersBound
 	}
 	if c == nil {
-		return 0
+		return runtime.GOMAXPROCS(0)
 	}
 	return c.inner
 }

@@ -107,8 +107,9 @@ type Config struct {
 	SigmaV float64
 
 	// Workers bounds the intra-step parallelism of the sweeps
-	// (0 = GOMAXPROCS). It affects wall-clock time only, never
-	// results: the sweep partitioning is fixed by the grid alone.
+	// (0 = serial; negative is rejected). It affects wall-clock time
+	// only, never results: the sweep partitioning is fixed by the
+	// grid alone.
 	Workers int
 
 	// Obs, when non-nil, receives per-step probes (fp.mass, fp.meanq,
@@ -140,6 +141,8 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("fokkerplanck: delay must be non-negative, got %v", c.DelayTau)
 	case !(c.SigmaV >= 0):
 		return fmt.Errorf("fokkerplanck: sigmaV must be non-negative, got %v", c.SigmaV)
+	case c.Workers < 0:
+		return fmt.Errorf("fokkerplanck: negative worker bound %d", c.Workers)
 	}
 	return nil
 }

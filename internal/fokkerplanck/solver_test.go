@@ -43,6 +43,7 @@ func TestValidate(t *testing.T) {
 		func(c *Config) { c.DelayTau = math.NaN() },
 		func(c *Config) { c.SigmaV = -1 },
 		func(c *Config) { c.SigmaV = math.NaN() },
+		func(c *Config) { c.Workers = -3 },
 	}
 	for i, mut := range muts {
 		c := baseConfig()

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"fpcc/internal/control"
+	"fpcc/internal/parallel/paralleltest"
 )
 
 func workersTestConfig(workers int) Config {
@@ -201,5 +202,41 @@ func TestAppendVariantsAllocationFree(t *testing.T) {
 		if vBuf[i] != v {
 			t.Fatalf("AppendMarginalV[%d] = %v, MarginalV = %v", i, vBuf[i], v)
 		}
+	}
+}
+
+// TestUnsetWorkersIsSerial guards "parallelism is granted, never
+// assumed": at GOMAXPROCS 2, a solver with Workers unset must step
+// with exactly the allocations of a Workers 1 solver (a default that
+// resolved GOMAXPROCS would fork every sweep), and the Workers 2
+// control proves the count sees a fork.
+func TestUnsetWorkersIsSerial(t *testing.T) {
+	paralleltest.SetGOMAXPROCS(t, 2)
+	mallocs := func(workers int) uint64 {
+		s, err := New(workersTestConfig(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.SetGaussian(10, 0, 2, 1); err != nil {
+			t.Fatal(err)
+		}
+		dt := s.MaxStableDt()
+		var stepErr error
+		n := paralleltest.Mallocs(100, func() {
+			if err := s.Step(dt); err != nil {
+				stepErr = err
+			}
+		})
+		if stepErr != nil {
+			t.Fatal(stepErr)
+		}
+		return n
+	}
+	unset, one, two := mallocs(0), mallocs(1), mallocs(2)
+	if unset != one {
+		t.Errorf("Workers unset: %d allocations in 100 steps, Workers 1: %d; an unset bound must step serially", unset, one)
+	}
+	if two <= one {
+		t.Errorf("control: Workers 2 made %d allocations, Workers 1 %d; the count does not see a fork", two, one)
 	}
 }

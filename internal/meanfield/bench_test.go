@@ -1,6 +1,7 @@
 package meanfield
 
 import (
+	"runtime"
 	"testing"
 	"time"
 )
@@ -25,7 +26,7 @@ func BenchmarkDensityStepMillion(b *testing.B) {
 // The finite-N comparison point: one step of the SoA particle backend
 // at N = 10⁴ (its practical sweet spot).
 func BenchmarkParticlesStep10k(b *testing.B) {
-	for _, workers := range []int{1, 0} {
+	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 		name := "workers=max"
 		if workers == 1 {
 			name = "workers=1"

@@ -39,7 +39,7 @@ func TestParticleDensityConvergence(t *testing.T) {
 
 	var gaps []float64
 	for _, n := range []int{100, 10000} {
-		p, err := NewParticles(testConfig(n), 42, 0)
+		p, err := NewParticles(testConfig(n), 42, 2)
 		if err != nil {
 			t.Fatal(err)
 		}

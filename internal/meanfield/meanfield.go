@@ -118,11 +118,11 @@ type Config struct {
 	SecondOrder bool
 
 	// Workers bounds the density engine's per-step parallelism over
-	// classes (0 = GOMAXPROCS). It affects wall-clock time only,
-	// never results: each class's kernel is independent within a
-	// step and the coupling reductions stay in class order. (The
-	// particle backend takes its worker bound as a NewParticles
-	// argument instead, alongside its seed.)
+	// classes (0 = serial; negative is rejected). It affects
+	// wall-clock time only, never results: each class's kernel is
+	// independent within a step and the coupling reductions stay in
+	// class order. (The particle backend takes its worker bound as a
+	// NewParticles argument instead, alongside its seed.)
 	Workers int
 
 	// Obs, when non-nil, receives per-step probes (mf.queue,
@@ -151,6 +151,8 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("meanfield: non-positive step %v", c.Dt)
 	case !(c.Q0 >= 0):
 		return fmt.Errorf("meanfield: invalid initial queue %v", c.Q0)
+	case c.Workers < 0:
+		return fmt.Errorf("meanfield: negative worker bound %d", c.Workers)
 	}
 	// The !(x >= 0) forms below reject NaN along with negatives: a NaN
 	// parameter would pass a plain x < 0 check and silently poison the

@@ -52,6 +52,7 @@ func TestConfigValidate(t *testing.T) {
 		{"NaN delay", func(c *Config) { c.Classes[0].Delay = math.NaN() }},
 		{"NaN spread", func(c *Config) { c.Classes[0].InitStd = math.NaN() }},
 		{"NaN sigma", func(c *Config) { c.Classes[0].SigmaL = math.NaN() }},
+		{"negative workers", func(c *Config) { c.Workers = -3 }},
 	}
 	for _, tc := range cases {
 		cfg := testConfig(100)
@@ -60,6 +61,9 @@ func TestConfigValidate(t *testing.T) {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("%s: invalid config accepted", tc.name)
 		}
+	}
+	if _, err := NewParticles(testConfig(100), 1, -3); err == nil {
+		t.Error("NewParticles accepted a negative worker bound")
 	}
 }
 
@@ -102,19 +106,25 @@ func TestQHistoryInterpolation(t *testing.T) {
 	}
 }
 
+// threeClassConfig is a 1000-source mix of three classes with
+// different dynamics, so scheduling skew across class workers would
+// have something to scramble.
+func threeClassConfig() Config {
+	cfg := testConfig(1000)
+	cfg.Classes = []Class{
+		{Law: testLaw(400, 2), N: 400, Lambda0: 1, InitStd: 0.3, SigmaL: 0.3},
+		{Law: testLaw(300, 2), N: 300, Lambda0: 1.4, InitStd: 0.2, SigmaL: 0.5, Delay: 0.3},
+		{Law: testLaw(300, 2), N: 300, Lambda0: 0.7, InitStd: 0.4, SigmaL: 0.2, Weight: 2},
+	}
+	return cfg
+}
+
 // TestDensityBitIdenticalAcrossWorkers pins the new class-parallel
 // step: a multi-class run must produce bit-identical marginals and
 // queue for any Config.Workers.
 func TestDensityBitIdenticalAcrossWorkers(t *testing.T) {
 	run := func(workers int) (*Density, error) {
-		cfg := testConfig(1000)
-		// Three classes with different dynamics so scheduling skew
-		// would have something to scramble.
-		cfg.Classes = []Class{
-			{Law: testLaw(400, 2), N: 400, Lambda0: 1, InitStd: 0.3, SigmaL: 0.3},
-			{Law: testLaw(300, 2), N: 300, Lambda0: 1.4, InitStd: 0.2, SigmaL: 0.5, Delay: 0.3},
-			{Law: testLaw(300, 2), N: 300, Lambda0: 0.7, InitStd: 0.4, SigmaL: 0.2, Weight: 2},
-		}
+		cfg := threeClassConfig()
 		cfg.Workers = workers
 		d, err := NewDensity(cfg)
 		if err != nil {

@@ -57,11 +57,14 @@ type Particles struct {
 
 // NewParticles builds the particle backend with every source's
 // initial rate drawn from its class blob (clipped to [0, LMax]).
-// workers bounds the per-step parallelism (0 = GOMAXPROCS); it
-// affects wall-clock time only, never results.
+// workers bounds the per-step parallelism (0 = serial; negative is
+// rejected); it affects wall-clock time only, never results.
 func NewParticles(cfg Config, seed uint64, workers int) (*Particles, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	if workers < 0 {
+		return nil, fmt.Errorf("meanfield: negative worker bound %d", workers)
 	}
 	if cfg.open() {
 		return nil, fmt.Errorf("meanfield: particle backend does not support open-system classes (Churn/Pulse); use the density backend, or netsim for finite-N churn")

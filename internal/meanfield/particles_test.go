@@ -69,7 +69,7 @@ func TestParticlesSeedReproducibility(t *testing.T) {
 // Particle moments merged from the per-chunk Welford states must
 // match a direct pass over the flat rate array.
 func TestParticlesChunkedMomentsMatchDirect(t *testing.T) {
-	p, err := NewParticles(testConfig(9000), 3, 0)
+	p, err := NewParticles(testConfig(9000), 3, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestParticlesChunkedMomentsMatchDirect(t *testing.T) {
 func TestParticlesRatesStayInDomain(t *testing.T) {
 	cfg := testConfig(2000)
 	cfg.Classes[0].SigmaL = 1.5 // strong noise exercises both reflections
-	p, err := NewParticles(cfg, 11, 0)
+	p, err := NewParticles(cfg, 11, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

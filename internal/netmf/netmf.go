@@ -121,9 +121,9 @@ type Config struct {
 	SecondOrder bool
 
 	// Workers bounds the per-step parallelism over classes
-	// (0 = GOMAXPROCS). It affects wall-clock time only, never
-	// results: each class's kernel is independent within a step and
-	// the arrival-rate coupling stays in class order.
+	// (0 = serial; negative is rejected). It affects wall-clock time
+	// only, never results: each class's kernel is independent within
+	// a step and the arrival-rate coupling stays in class order.
 	Workers int
 
 	// Obs, when non-nil, receives per-step probes (per-node queues,
@@ -151,6 +151,8 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("netmf: need at least 8 rate bins, got %d", c.Bins)
 	case !(c.Dt > 0):
 		return fmt.Errorf("netmf: non-positive step %v", c.Dt)
+	case c.Workers < 0:
+		return fmt.Errorf("netmf: negative worker bound %d", c.Workers)
 	}
 	if c.Q0 != nil && len(c.Q0) != len(c.Topology.Nodes) {
 		return fmt.Errorf("netmf: Q0 has %d entries for %d nodes", len(c.Q0), len(c.Topology.Nodes))

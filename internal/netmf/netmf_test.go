@@ -60,6 +60,7 @@ func TestConfigValidate(t *testing.T) {
 		{"non-positive step", func(c *Config) { c.Dt = 0 }},
 		{"Q0 length mismatch", func(c *Config) { c.Q0 = []float64{1, 2} }},
 		{"negative Q0", func(c *Config) { c.Q0 = []float64{-1} }},
+		{"negative workers", func(c *Config) { c.Workers = -3 }},
 	}
 	for _, tc := range cases {
 		cfg := oneNodeConfig(1000)

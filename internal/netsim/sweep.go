@@ -37,8 +37,23 @@ type SweepConfig struct {
 	// BaseSeed derives every cell seed; two sweeps with equal
 	// BaseSeed and grid run identical simulations.
 	BaseSeed uint64
-	// Workers bounds the parallelism (0 means GOMAXPROCS).
+	// Workers bounds the parallelism (0 = serial; negative is
+	// rejected). Callers that want every core pass
+	// runtime.GOMAXPROCS(0).
 	Workers int
+}
+
+// Validate rejects a sweep without a Build function or with a
+// negative worker bound; the grid itself is checked by the sweep
+// runner.
+func (c *SweepConfig) Validate() error {
+	switch {
+	case c.Build == nil:
+		return fmt.Errorf("netsim: sweep has nil Build")
+	case c.Workers < 0:
+		return fmt.Errorf("netsim: sweep has negative worker bound %d", c.Workers)
+	}
+	return nil
 }
 
 // CellResult is the aggregate of one grid cell.
@@ -66,8 +81,8 @@ type SweepResult struct {
 // stops the sweep early: already-claimed cells finish, unclaimed
 // ones are never started.
 func Sweep(cfg SweepConfig) (*SweepResult, error) {
-	if cfg.Build == nil {
-		return nil, fmt.Errorf("netsim: sweep has nil Build")
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	cells, err := sweep.Run(sweep.Config{
 		Grid:     sweep.Grid{Dims: cfg.Params},

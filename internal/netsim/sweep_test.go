@@ -135,6 +135,15 @@ func TestSweepErrors(t *testing.T) {
 		t.Error("nil Build accepted")
 	}
 
+	bad = base
+	bad.Workers = -3
+	if err := bad.Validate(); err == nil {
+		t.Error("Validate accepted a negative worker bound")
+	}
+	if _, err := Sweep(bad); err == nil {
+		t.Error("negative worker bound accepted")
+	}
+
 	failing := base
 	failing.Build = func(values []float64, seed uint64) (Config, error) {
 		if values[0] >= 10 { // cells with cross >= 10 fail; lowest such index is 16

@@ -20,14 +20,19 @@
 //     worker count (though not necessarily equal to a single
 //     straight-line sum — the grouping is per-block by construction).
 //
-// With workers <= 1 (or a single block) every entry point runs inline
-// on the calling goroutine with no synchronization at all, so a
-// serial caller pays nothing for the abstraction.
+// Parallelism is granted, never assumed: a worker count <= 0 means
+// one worker, never GOMAXPROCS. Only top levels (the experiment suite
+// runner, the CLIs, the fpcc facade) resolve runtime.GOMAXPROCS and
+// hand the result down, so a solver nested inside an already-parallel
+// sweep cell does not fork across every core again.
+//
+// With one worker (or a single block) every entry point runs inline
+// on the calling goroutine with no synchronization and no allocation,
+// so a serial caller pays nothing for the abstraction.
 package parallel
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -57,10 +62,12 @@ func Blocks(n int) (size, count int) {
 	return size, count
 }
 
-// Workers resolves a worker-count knob: values <= 0 mean GOMAXPROCS.
+// Workers resolves a worker-count knob: values <= 0 mean one worker
+// (serial). Callers that want every core pass runtime.GOMAXPROCS(0)
+// explicitly.
 func Workers(workers int) int {
 	if workers <= 0 {
-		return runtime.GOMAXPROCS(0)
+		return 1
 	}
 	return workers
 }
@@ -71,9 +78,15 @@ func Workers(workers int) int {
 // shared counter, so the set of (lo, hi) calls — and therefore any
 // state written by block index — is identical for any worker count.
 // fn must not panic; writes from different blocks must not overlap.
-// workers <= 0 means GOMAXPROCS; with one worker (or one block) fn
-// runs inline on the calling goroutine.
+// workers <= 0 means serial; with one worker (or one block) fn runs
+// inline on the calling goroutine, without allocating.
 func For(n, workers int, fn func(lo, hi int)) {
+	if size, count := Blocks(n); Workers(workers) <= 1 || count <= 1 {
+		for lo := 0; lo < n; lo += size {
+			fn(lo, min(lo+size, n))
+		}
+		return
+	}
 	ForWorker(n, workers, func(_, lo, hi int) { fn(lo, hi) })
 }
 
@@ -127,6 +140,12 @@ func ForWorker(n, workers int, fn func(w, lo, hi int)) {
 // self-contained per index, which makes Each trivially deterministic
 // for any worker count.
 func Each(n, workers int, fn func(i int)) {
+	if Workers(workers) <= 1 || n <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
 	EachWorker(n, workers, func(_, i int) { fn(i) })
 }
 
@@ -212,7 +231,7 @@ type Scratch[T any] struct {
 }
 
 // NewScratch returns a Scratch whose slots are built on first use by
-// mk. workers bounds the slot count (<= 0 means GOMAXPROCS).
+// mk. workers bounds the slot count (<= 0 means one slot).
 func NewScratch[T any](workers int, mk func() T) *Scratch[T] {
 	if mk == nil {
 		panic("parallel: NewScratch with nil constructor")

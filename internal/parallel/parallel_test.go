@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"fpcc/internal/parallel/paralleltest"
 	"fpcc/internal/rng"
 )
 
@@ -137,11 +138,40 @@ func TestScratchBuildsOnce(t *testing.T) {
 	}
 }
 
+// TestWorkersResolution: parallelism is granted, never assumed — a
+// bound <= 0 means one worker, not GOMAXPROCS.
 func TestWorkersResolution(t *testing.T) {
 	if Workers(3) != 3 {
 		t.Fatal("Workers(3) != 3")
 	}
-	if Workers(0) < 1 || Workers(-1) < 1 {
-		t.Fatal("Workers(<=0) must be at least 1")
+	if Workers(0) != 1 || Workers(-1) != 1 {
+		t.Fatalf("Workers(0), Workers(-1) = %d, %d, want 1, 1", Workers(0), Workers(-1))
+	}
+}
+
+// TestSerialPathAllocatesNothing: with one worker — granted
+// explicitly, or by a bound <= 0 even at GOMAXPROCS 2 — For and Each
+// run inline without building a wrapper closure, so a serial caller's
+// steady state allocates nothing.
+func TestSerialPathAllocatesNothing(t *testing.T) {
+	paralleltest.SetGOMAXPROCS(t, 2)
+	xs := make([]float64, 2*192) // a two-class mean-field step
+	forBody := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			xs[i] = xs[i]*0.5 + 0.25
+		}
+	}
+	eachBody := func(i int) { xs[i]++ }
+	for _, workers := range []int{1, 0, -1} {
+		if n := paralleltest.Mallocs(100, func() { For(len(xs), workers, forBody) }); n != 0 {
+			t.Errorf("For with workers=%d: %d allocations in 100 calls, want 0", workers, n)
+		}
+		if n := paralleltest.Mallocs(100, func() { Each(len(xs), workers, eachBody) }); n != 0 {
+			t.Errorf("Each with workers=%d: %d allocations in 100 calls, want 0", workers, n)
+		}
+	}
+	// Control: a forked call allocates, so the count would see one.
+	if n := paralleltest.Mallocs(100, func() { For(len(xs), 2, forBody) }); n == 0 {
+		t.Error("control: For with 2 workers made no allocations; the count cannot see a fork")
 	}
 }

@@ -60,9 +60,10 @@ type Config struct {
 	InitStdQ float64
 	InitStdL float64
 
-	// Workers bounds the per-step parallelism (0 = GOMAXPROCS). It
-	// affects wall-clock time only, never results: chunk streams and
-	// reductions are fixed by Particles and Seed alone.
+	// Workers bounds the per-step parallelism (0 = serial; negative
+	// is rejected). It affects wall-clock time only, never results:
+	// chunk streams and reductions are fixed by Particles and Seed
+	// alone.
 	Workers int
 
 	// Obs, when non-nil, receives per-step probes (sde.meanq,
@@ -92,6 +93,8 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("sde: negative initial state (%v, %v)", c.Q0, c.Lambda0)
 	case c.InitStdQ < 0 || c.InitStdL < 0:
 		return fmt.Errorf("sde: negative initial spread")
+	case c.Workers < 0:
+		return fmt.Errorf("sde: negative worker bound %d", c.Workers)
 	}
 	return nil
 }

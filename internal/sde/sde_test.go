@@ -35,6 +35,7 @@ func TestValidate(t *testing.T) {
 		func(c *Config) { c.Q0 = -1 },
 		func(c *Config) { c.Lambda0 = -1 },
 		func(c *Config) { c.InitStdQ = -1 },
+		func(c *Config) { c.Workers = -3 },
 	}
 	for i, mut := range mutations {
 		c := baseConfig()

@@ -23,7 +23,6 @@ package sweep
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -105,12 +104,25 @@ type Config struct {
 	// BaseSeed derives every cell seed; two sweeps with equal BaseSeed
 	// and grid hand identical Cells to the cell function.
 	BaseSeed uint64
-	// Workers bounds the parallelism (0 means GOMAXPROCS).
+	// Workers bounds the parallelism (0 = serial; negative is
+	// rejected). Callers that want every core pass
+	// runtime.GOMAXPROCS(0).
 	Workers int
 	// Obs, when non-nil, records one "cell" span per evaluated cell,
 	// attributed to the worker that ran it. It never affects results
 	// — only the trace.
 	Obs *obs.Recorder
+}
+
+// Validate rejects a degenerate grid or a negative worker bound.
+func (c Config) Validate() error {
+	if err := c.Grid.Validate(); err != nil {
+		return err
+	}
+	if c.Workers < 0 {
+		return fmt.Errorf("sweep: negative worker bound %d", c.Workers)
+	}
+	return nil
 }
 
 // CellError reports the lowest-indexed failing cell of a sweep.
@@ -124,8 +136,8 @@ func (e *CellError) Error() string { return fmt.Sprintf("cell %d: %v", e.Index, 
 // Unwrap exposes the cell function's error to errors.Is/As.
 func (e *CellError) Unwrap() error { return e.Err }
 
-// Map evaluates fn(0..n-1) on up to workers goroutines and returns
-// the results in index order. It is the worker pool under Run and
+// Map evaluates fn(0..n-1) on up to workers goroutines (workers <= 0
+// means one) and returns the results in index order. It is the worker pool under Run and
 // under the experiment suite runner. Items are distributed by
 // work-stealing over per-worker contiguous index ranges: each worker
 // drains its own range front-to-back and, when empty, steals the top
@@ -206,7 +218,7 @@ func MapWorker[T any](n, workers int, fn func(worker, i int) (T, error)) ([]T, e
 		return nil, fmt.Errorf("sweep: nil function")
 	}
 	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+		workers = 1
 	}
 	if workers > n {
 		workers = n
@@ -290,7 +302,7 @@ func MapWorker[T any](n, workers int, fn func(worker, i int) (T, error)) ([]T, e
 // goroutines; the results (and any error, a *CellError for the
 // lowest-indexed failing cell) are independent of the worker count.
 func Run[T any](cfg Config, fn func(Cell) (T, error)) ([]T, error) {
-	if err := cfg.Grid.Validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if fn == nil {

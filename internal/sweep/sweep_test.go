@@ -254,11 +254,19 @@ func TestEmitHazards(t *testing.T) {
 	}
 }
 
-// TestRunValidation: Run surfaces grid validation and nil-function
-// errors.
+// TestRunValidation: Run surfaces config validation (grid, worker
+// bound) and nil-function errors.
 func TestRunValidation(t *testing.T) {
 	if _, err := Run(Config{}, func(Cell) (int, error) { return 0, nil }); err == nil {
 		t.Error("empty grid accepted")
+	}
+	neg := syntheticConfig(1)
+	neg.Workers = -3
+	if err := neg.Validate(); err == nil {
+		t.Error("Validate accepted a negative worker bound")
+	}
+	if _, err := Run(neg, func(Cell) (int, error) { return 0, nil }); err == nil {
+		t.Error("Run accepted a negative worker bound")
 	}
 	if _, err := Run[int](syntheticConfig(1), nil); err == nil {
 		t.Error("nil cell function accepted")
