@@ -19,7 +19,8 @@ package dde
 import (
 	"fmt"
 	"math"
-	"sort"
+
+	"fpcc/internal/history"
 )
 
 // Lagger provides access to past state values during integration.
@@ -39,57 +40,24 @@ type System func(t float64, y []float64, lag Lagger, dydt []float64)
 // History supplies the pre-initial state: y(t) for t <= t0.
 type History func(t float64) []float64
 
-// buffer is the dense solution history: strictly increasing times with
-// their states, pruned to the lookback window.
-type buffer struct {
-	times   []float64
-	states  [][]float64
-	history History
-	t0      float64
-	curT    float64 // time of the current RHS evaluation
+// lagger reads delayed states: y(t) for t <= t0 from the pre-initial
+// history, and after t0 by linear interpolation in the solution's
+// recent past (clamped to the newest sample, which a delay equal to
+// the step can overshoot by a rounding hair).
+type lagger struct {
+	past history.Series
+	pre  History
+	t0   float64
+	curT float64 // time of the current RHS evaluation
 }
 
-// Lag implements Lagger via binary search + linear interpolation.
-func (b *buffer) Lag(i int, delay float64) float64 {
-	t := b.curT - delay
-	if t <= b.t0 {
-		return b.history(t)[i]
+// Lag implements Lagger.
+func (l *lagger) Lag(i int, delay float64) float64 {
+	t := l.curT - delay
+	if t <= l.t0 {
+		return l.pre(t)[i]
 	}
-	// Find the first stored time >= t.
-	k := sort.SearchFloat64s(b.times, t)
-	if k == 0 {
-		return b.states[0][i]
-	}
-	if k >= len(b.times) {
-		// Delayed time beyond the newest sample can only happen by a
-		// rounding hair when delay == step; clamp to the newest.
-		return b.states[len(b.states)-1][i]
-	}
-	tL, tR := b.times[k-1], b.times[k]
-	yL, yR := b.states[k-1][i], b.states[k][i]
-	if tR == tL {
-		return yR
-	}
-	frac := (t - tL) / (tR - tL)
-	return yL + frac*(yR-yL)
-}
-
-// append stores a sample.
-func (b *buffer) append(t float64, y []float64) {
-	b.times = append(b.times, t)
-	b.states = append(b.states, append([]float64(nil), y...))
-}
-
-// prune drops samples older than keepBefore, retaining one sample at
-// or before it so interpolation at the window edge stays valid.
-func (b *buffer) prune(keepBefore float64) {
-	k := sort.SearchFloat64s(b.times, keepBefore)
-	if k <= 1 {
-		return
-	}
-	drop := k - 1
-	b.times = append(b.times[:0], b.times[drop:]...)
-	b.states = append(b.states[:0], b.states[drop:]...)
+	return l.past.Lerp(i, t)
 }
 
 // Result holds the sampled DDE solution.
@@ -122,15 +90,15 @@ type Options struct {
 
 // Solve integrates the DDE from t0 to t1 with fixed RK4 steps of size
 // h. delays must list every delay the system will request (used to
-// validate h and to size the history window); history provides y(t)
-// for t <= t0 (and y(t0) itself is history(t0)).
-func Solve(f System, history History, delays []float64, t0, t1, h float64, opts Options) (*Result, error) {
+// validate h and to size the history window); pre provides y(t) for
+// t <= t0 (and y(t0) itself is pre(t0)).
+func Solve(f System, pre History, delays []float64, t0, t1, h float64, opts Options) (*Result, error) {
 	switch {
 	case !(h > 0):
 		return nil, fmt.Errorf("dde: non-positive step %v", h)
 	case t1 < t0:
 		return nil, fmt.Errorf("dde: reversed interval [%v, %v]", t0, t1)
-	case history == nil:
+	case pre == nil:
 		return nil, fmt.Errorf("dde: nil history")
 	}
 	maxDelay := 0.0
@@ -150,11 +118,11 @@ func Solve(f System, history History, delays []float64, t0, t1, h float64, opts 
 		stride = 1
 	}
 
-	y0 := history(t0)
+	y0 := pre(t0)
 	dim := len(y0)
 	y := append([]float64(nil), y0...)
-	buf := &buffer{history: history, t0: t0}
-	buf.append(t0, y)
+	lag := &lagger{past: history.New(dim), pre: pre, t0: t0}
+	lag.past.Append(t0, y...)
 
 	res := &Result{}
 	record := func(t float64, y []float64) {
@@ -170,8 +138,8 @@ func Solve(f System, history History, delays []float64, t0, t1, h float64, opts 
 	tmp := make([]float64, dim)
 
 	eval := func(t float64, y, dydt []float64) {
-		buf.curT = t
-		f(t, y, buf, dydt)
+		lag.curT = t
+		f(t, y, lag, dydt)
 	}
 
 	t := t0
@@ -204,15 +172,13 @@ func Solve(f System, history History, delays []float64, t0, t1, h float64, opts 
 		if opts.Clamp != nil {
 			opts.Clamp(y)
 		}
-		buf.append(t, y)
+		// Keep the history window: everything older than maxDelay plus
+		// a couple of steps can go.
+		lag.past.Append(t, y...)
+		lag.past.Prune(t - maxDelay - 2*h)
 		step++
 		if step%stride == 0 || t >= t1 {
 			record(t, y)
-		}
-		// Keep the history window: everything older than maxDelay plus
-		// a couple of steps can go.
-		if maxDelay > 0 && step%256 == 0 {
-			buf.prune(t - maxDelay - 2*h)
 		}
 	}
 	if res.Times[len(res.Times)-1] < t {

@@ -267,6 +267,42 @@ func TestComponentIndependenceProperty(t *testing.T) {
 	}
 }
 
+// TestSolveAllocationsIndependentOfHorizon: the lag history is pruned
+// to the lookback window on every step and stores flat rows, so with
+// the same number of recorded samples a ten times longer solve must
+// not allocate more — with delays and without.
+func TestSolveAllocationsIndependentOfHorizon(t *testing.T) {
+	const h = 1.0 / 64 // dyadic: t accumulates exactly, so both horizons take whole steps
+	pre := []float64{1, 0}
+	hist := func(tt float64) []float64 { return pre }
+	cases := []struct {
+		name   string
+		f      System
+		delays []float64
+	}{
+		{"delay-free", func(tt float64, y []float64, lag Lagger, dydt []float64) {
+			dydt[0], dydt[1] = y[1], -y[0]
+		}, nil},
+		{"delayed", func(tt float64, y []float64, lag Lagger, dydt []float64) {
+			dydt[0], dydt[1] = -lag.Lag(0, 1), -lag.Lag(1, 0.5)
+		}, []float64{1, 0.5}},
+	}
+	for _, tc := range cases {
+		mallocs := func(t1 float64) float64 {
+			stride := int(t1 / h / 10) // 11 recorded samples at any horizon
+			return testing.AllocsPerRun(3, func() {
+				if _, err := Solve(tc.f, hist, tc.delays, 0, t1, h, Options{Stride: stride}); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		short, long := mallocs(10), mallocs(100)
+		if long > short {
+			t.Errorf("%s: Solve allocates %v times to t1=100 but %v to t1=10", tc.name, long, short)
+		}
+	}
+}
+
 func BenchmarkSolveDelayed(b *testing.B) {
 	f := func(tt float64, y []float64, lag Lagger, dydt []float64) {
 		dydt[0] = -lag.Lag(0, 1)

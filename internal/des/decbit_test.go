@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"fpcc/internal/control"
+	"fpcc/internal/history"
 )
 
 func TestAvgWindowValidation(t *testing.T) {
@@ -15,15 +16,15 @@ func TestAvgWindowValidation(t *testing.T) {
 	}
 }
 
-// TestAvgQueueOver exercises the piecewise-constant integral directly
-// through a deterministic scenario: freeze the rate, run briefly, then
-// compare the windowed average against the exact step integral.
+// TestAvgQueueOver exercises the DECbit averaged-queue rule that
+// AvgWindow feedback reads (history.Series.AvgHold) on a hand-built
+// queue history, against the exact step integral.
 func TestAvgQueueOver(t *testing.T) {
-	var h QueueHistory
+	h := history.New(1)
 	// Hand-build a history: q=0 on [0,1), q=2 on [1,3), q=1 on [3,∞).
-	h.Record(0, 0, 0, 0)
-	h.Record(1, 2, 0, 0)
-	h.Record(3, 1, 0, 0)
+	h.Append(0, 0)
+	h.Append(1, 2)
+	h.Append(3, 1)
 	cases := []struct {
 		a, b, want float64
 	}{
@@ -35,12 +36,12 @@ func TestAvgQueueOver(t *testing.T) {
 		{-2, 0.5, 0}, // pre-history counts as empty
 	}
 	for _, tc := range cases {
-		if got := h.AvgOver(tc.a, tc.b); math.Abs(got-tc.want) > 1e-12 {
-			t.Errorf("AvgOver(%v, %v) = %v, want %v", tc.a, tc.b, got, tc.want)
+		if got := h.AvgHold(0, tc.a, tc.b); math.Abs(got-tc.want) > 1e-12 {
+			t.Errorf("AvgHold(0, %v, %v) = %v, want %v", tc.a, tc.b, got, tc.want)
 		}
 	}
 	// Degenerate window falls back to the point value.
-	if got := h.AvgOver(2, 2); got != 2 {
+	if got := h.AvgHold(0, 2, 2); got != 2 {
 		t.Errorf("point window = %v, want 2", got)
 	}
 }

@@ -25,6 +25,7 @@ import (
 
 	"fpcc/internal/control"
 	"fpcc/internal/eventq"
+	"fpcc/internal/history"
 	"fpcc/internal/obs"
 	"fpcc/internal/rng"
 	"fpcc/internal/stats"
@@ -222,8 +223,9 @@ type Sim struct {
 	// exists only so tests can pin the burst loop byte-identical to
 	// the scalar reference.
 	scalarLoop bool
-	// queue-length history for delayed observation
-	hist     QueueHistory
+	// queue-length history for delayed observation: column 0 is the
+	// queue, column 1 (with a gateway) the gateway's wire signal
+	hist     history.Series
 	maxDelay float64
 }
 
@@ -253,13 +255,15 @@ func New(cfg Config) (*Sim, error) {
 		return nil, err
 	}
 	root := rng.New(cfg.Seed)
-	s := &Sim{cfg: cfg, rngSvc: root.Split(), hist: NewQueueHistory(cfg.Gateway != nil)}
-	var sig0 float64
+	s := &Sim{cfg: cfg, rngSvc: root.Split()}
 	if cfg.Gateway != nil {
 		cfg.Gateway.Reset()
-		sig0 = cfg.Gateway.Signal(0, 0)
+		s.hist = history.New(2)
+		s.hist.Append(0, 0, cfg.Gateway.Signal(0, 0))
+	} else {
+		s.hist = history.New(1)
+		s.hist.Append(0, 0)
 	}
-	s.hist.Record(0, 0, sig0, 0)
 	for i, sc := range cfg.Sources {
 		st := &sourceState{cfg: sc, lambda: sc.Lambda0, rng: root.Split(), factor: 1}
 		s.sources = append(s.sources, st)
@@ -291,13 +295,14 @@ func (s *Sim) push(e event) {
 }
 
 // recordQueue appends the current queue length (and gateway signal)
-// to the history, pruning outside the lookback window occasionally.
+// to the history, pruning outside the lookback window.
 func (s *Sim) recordQueue() {
-	var sig float64
 	if s.cfg.Gateway != nil {
-		sig = s.cfg.Gateway.Signal(s.t, s.queue)
+		s.hist.Append(s.t, float64(s.queue), s.cfg.Gateway.Signal(s.t, s.queue))
+	} else {
+		s.hist.Append(s.t, float64(s.queue))
 	}
-	s.hist.Record(s.t, s.queue, sig, s.t-s.maxDelay-1)
+	s.hist.Prune(s.t - s.maxDelay - 1)
 }
 
 // pruneDrops discards drop records older than cut, keeping the slice
@@ -475,11 +480,11 @@ func (s *Sim) processBatch(res *Result, warmup float64, nEvents *int64) error {
 					qObs = st.cfg.Law.Target() + 1
 				}
 			case s.cfg.Gateway != nil:
-				qObs = s.cfg.Gateway.Observe(s.hist.SignalAt(obsT), st.cfg.Law.Target(), st.rng)
+				qObs = s.cfg.Gateway.Observe(s.hist.Hold(1, obsT), st.cfg.Law.Target(), st.rng)
 			case st.cfg.AvgWindow > 0:
-				qObs = s.hist.AvgOver(obsT-st.cfg.AvgWindow, obsT)
+				qObs = s.hist.AvgHold(0, obsT-st.cfg.AvgWindow, obsT)
 			default:
-				qObs = s.hist.QueueAt(obsT)
+				qObs = s.hist.Hold(0, obsT)
 			}
 			st.lambda += st.cfg.Law.Drift(qObs, st.lambda) * st.cfg.Interval
 			if st.lambda < st.cfg.MinRate {

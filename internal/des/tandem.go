@@ -3,10 +3,10 @@ package des
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"fpcc/internal/control"
 	"fpcc/internal/eventq"
+	"fpcc/internal/history"
 	"fpcc/internal/rng"
 )
 
@@ -81,8 +81,11 @@ func (c *TandemConfig) Validate() error {
 				return fmt.Errorf("des: tandem source %d path hop %d out of range", i, h)
 			}
 		}
-		if s.Lambda0 < 0 || s.MinRate < 0 {
-			return fmt.Errorf("des: tandem source %d has negative rates", i)
+		if !(s.Lambda0 >= 0) || math.IsInf(s.Lambda0, 1) {
+			return fmt.Errorf("des: tandem source %d has invalid initial rate %v", i, s.Lambda0)
+		}
+		if !(s.MinRate >= 0) || math.IsInf(s.MinRate, 1) {
+			return fmt.Errorf("des: tandem source %d has invalid rate floor %v", i, s.MinRate)
 		}
 	}
 	return nil
@@ -149,9 +152,11 @@ type TandemSim struct {
 	seq     uint64
 	t       float64
 	rngSvc  *rng.Source
-	// backlog history per source-path for delayed feedback
-	histT []float64
-	histB [][]float64 // histB[k][i] = path backlog of source i at histT[k]
+	// path-backlog history for delayed feedback: column i is source
+	// i's path backlog; row is the scratch record it is built in
+	hist   history.Series
+	row    []float64
+	maxRTT float64
 }
 
 // NewTandem builds a tandem simulator.
@@ -160,7 +165,12 @@ func NewTandem(cfg TandemConfig) (*TandemSim, error) {
 		return nil, err
 	}
 	root := rng.New(cfg.Seed)
-	s := &TandemSim{cfg: cfg, rngSvc: root.Split()}
+	s := &TandemSim{
+		cfg:    cfg,
+		rngSvc: root.Split(),
+		hist:   history.New(len(cfg.Sources)),
+		row:    make([]float64, len(cfg.Sources)),
+	}
 	for _, mu := range cfg.Mus {
 		s.hops = append(s.hops, hopState{mu: mu})
 	}
@@ -172,6 +182,7 @@ func NewTandem(cfg TandemConfig) (*TandemSim, error) {
 			rtt:    2 * cfg.PropDelay * float64(len(sc.Path)),
 		}
 		s.sources = append(s.sources, st)
+		s.maxRTT = math.Max(s.maxRTT, st.rtt)
 		s.push(tandemEvent{t: st.rtt * (1 + float64(i)/float64(len(cfg.Sources))), kind: tevControl, src: i})
 		s.scheduleSend(i)
 	}
@@ -195,41 +206,13 @@ func (s *TandemSim) pathBacklog(i int) float64 {
 }
 
 // recordBacklog snapshots every source's path backlog for delayed
-// observation.
+// observation, pruning outside the longest lookback window.
 func (s *TandemSim) recordBacklog() {
-	row := make([]float64, len(s.sources))
 	for i := range s.sources {
-		row[i] = s.pathBacklog(i)
+		s.row[i] = s.pathBacklog(i)
 	}
-	s.histT = append(s.histT, s.t)
-	s.histB = append(s.histB, row)
-	if len(s.histT) > 8192 {
-		var maxRTT float64
-		for _, st := range s.sources {
-			if st.rtt > maxRTT {
-				maxRTT = st.rtt
-			}
-		}
-		cut := s.t - maxRTT - 1
-		k := sort.SearchFloat64s(s.histT, cut)
-		if k > 1 {
-			k--
-			s.histT = append(s.histT[:0], s.histT[k:]...)
-			s.histB = append(s.histB[:0], s.histB[k:]...)
-		}
-	}
-}
-
-// backlogAt returns source i's path backlog as of time t.
-func (s *TandemSim) backlogAt(i int, t float64) float64 {
-	k := sort.SearchFloat64s(s.histT, t)
-	if k < len(s.histT) && s.histT[k] == t {
-		return s.histB[k][i]
-	}
-	if k == 0 {
-		return 0
-	}
-	return s.histB[k-1][i]
+	s.hist.Append(s.t, s.row...)
+	s.hist.Prune(s.t - s.maxRTT - 1)
 }
 
 // scheduleSend draws the next packet emission for source i.
@@ -324,7 +307,7 @@ func (s *TandemSim) Run(horizon, warmup float64) (*TandemResult, error) {
 
 		case tevControl:
 			st := s.sources[e.src]
-			qObs := s.backlogAt(e.src, s.t-st.rtt)
+			qObs := s.hist.Hold(e.src, s.t-st.rtt)
 			st.lambda += st.cfg.Law.Drift(qObs, st.lambda) * st.rtt
 			if st.lambda < st.cfg.MinRate {
 				st.lambda = st.cfg.MinRate

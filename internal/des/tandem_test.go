@@ -26,6 +26,9 @@ func TestTandemValidate(t *testing.T) {
 		{Mus: []float64{50}, PropDelay: 0.01, Sources: []TandemSource{{Law: l, Path: nil}}},
 		{Mus: []float64{50}, PropDelay: 0.01, Sources: []TandemSource{{Law: l, Path: []int{3}}}},
 		{Mus: []float64{50}, PropDelay: 0.01, Sources: []TandemSource{{Law: l, Path: []int{0}, Lambda0: -1}}},
+		{Mus: []float64{50}, PropDelay: 0.01, Sources: []TandemSource{{Law: l, Path: []int{0}, Lambda0: math.NaN()}}},
+		{Mus: []float64{50}, PropDelay: 0.01, Sources: []TandemSource{{Law: l, Path: []int{0}, Lambda0: math.Inf(1)}}},
+		{Mus: []float64{50}, PropDelay: 0.01, Sources: []TandemSource{{Law: l, Path: []int{0}, Lambda0: 5, MinRate: math.NaN()}}},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {

@@ -70,6 +70,7 @@ import (
 
 	"fpcc/internal/control"
 	"fpcc/internal/grid"
+	"fpcc/internal/history"
 	"fpcc/internal/linalg"
 	"fpcc/internal/obs"
 	"fpcc/internal/parallel"
@@ -192,13 +193,8 @@ type Solver struct {
 	clipped float64 // total negative mass clipped (absolute value)
 	outflow float64 // mass lost through the q = QMax outflow boundary
 
-	// delayed mean-queue history for the closure. histStart is the
-	// live window's first index: pruning advances it in O(1) and the
-	// backing arrays compact only when more than half is dead, so
-	// long-horizon delayed runs never pay a per-step O(n) shift.
-	histT     []float64
-	histQ     []float64
-	histStart int
+	// delayed mean-queue history for the closure
+	hist history.Series
 
 	step int64 // completed steps, stamping probes and violations
 }
@@ -234,6 +230,7 @@ func New(cfg Config) (*Solver, error) {
 		qc:       qAxis.Centers(),
 		vc:       vAxis.Centers(),
 		rowDrift: make([]float64, cfg.NV+1),
+		hist:     history.New(1),
 	}
 	s.maxV, s.maxG = s.computeMaxSpeeds()
 	return s, nil
@@ -305,9 +302,7 @@ func (s *Solver) normalize() error {
 	s.t = 0
 	s.clipped = 0
 	s.outflow = 0
-	s.histT = s.histT[:0]
-	s.histQ = s.histQ[:0]
-	s.histStart = 0
+	s.hist.Reset()
 	s.step = 0
 	s.recordMeanQ()
 	return nil
@@ -335,64 +330,19 @@ func (s *Solver) meanQ() float64 {
 }
 
 // recordMeanQ appends the current mean queue to the delay history and
-// prunes records that have fallen out of the lookback window. The
-// live window is histT[histStart:]; pruning advances histStart (each
-// record is passed over at most once across the whole run) and the
-// backing arrays compact only when more than half is dead, so the
-// per-step cost is amortized O(1) at any horizon.
+// prunes records that have fallen out of the lookback window.
 func (s *Solver) recordMeanQ() {
 	if s.cfg.DelayTau <= 0 {
 		return
 	}
-	s.histT = append(s.histT, s.t)
-	s.histQ = append(s.histQ, s.meanQ())
-	// Drop records strictly before the last one at or below the
-	// lookback cut: delayedMeanQ clamps to the window's first record,
-	// so one record at or before t − τ must survive.
-	cut := s.t - s.cfg.DelayTau
-	for s.histStart < len(s.histT)-1 && s.histT[s.histStart+1] <= cut {
-		s.histStart++
-	}
-	if s.histStart > len(s.histT)/2 && s.histStart > 64 {
-		n := copy(s.histT, s.histT[s.histStart:])
-		copy(s.histQ, s.histQ[s.histStart:])
-		s.histT = s.histT[:n]
-		s.histQ = s.histQ[:n]
-		s.histStart = 0
-	}
+	s.hist.Append(s.t, s.meanQ())
+	s.hist.Prune(s.t - s.cfg.DelayTau)
 }
 
 // delayedMeanQ interpolates E[Q](t−τ) from the history (clamping to
-// the earliest live record, which represents the pre-initial state).
+// the earliest record, which represents the pre-initial state).
 func (s *Solver) delayedMeanQ() float64 {
-	target := s.t - s.cfg.DelayTau
-	histT := s.histT[s.histStart:]
-	histQ := s.histQ[s.histStart:]
-	n := len(histT)
-	if n == 0 {
-		return 0
-	}
-	if target <= histT[0] {
-		return histQ[0]
-	}
-	if target >= histT[n-1] {
-		return histQ[n-1]
-	}
-	lo, hi := 0, n-1
-	for hi-lo > 1 {
-		mid := (lo + hi) / 2
-		if histT[mid] <= target {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	t0, t1 := histT[lo], histT[hi]
-	if t1 == t0 {
-		return histQ[hi]
-	}
-	frac := (target - t0) / (t1 - t0)
-	return histQ[lo] + frac*(histQ[hi]-histQ[lo])
+	return s.hist.Lerp(0, s.t-s.cfg.DelayTau)
 }
 
 // computeMaxSpeeds scans the grid for the maximum advection speeds.
@@ -522,7 +472,7 @@ func (s *Solver) observe(rec *obs.Recorder, dt float64) error {
 	if err := rec.CheckCourant(s.step, s.t, "fp.cfl", s.g2d.CFL(dt, s.maxV, s.maxG), 1.0000001); err != nil {
 		return err
 	}
-	return rec.CheckMonotoneTail(s.step, "fp.history", s.histT)
+	return rec.CheckMonotoneTail(s.step, "fp.history", s.hist.TailTimes())
 }
 
 // StepAuto advances by the largest stable step, capped at dtMax, and

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"fpcc/internal/grid"
+	"fpcc/internal/history"
 	"fpcc/internal/obs"
 	"fpcc/internal/parallel"
 )
@@ -39,7 +40,7 @@ type Density struct {
 	t     float64
 	q     float64
 
-	hist     History
+	hist     history.Series // the queue, interpolated at t − τ
 	maxDelay float64
 	step     int64 // completed steps, stamping probes and violations
 }
@@ -64,7 +65,8 @@ func NewDensity(cfg Config) (*Density, error) {
 		}
 		d.kerns = append(d.kerns, kern)
 	}
-	d.hist.Record(0, d.q, 0)
+	d.hist = history.New(1)
+	d.hist.Append(0, d.q)
 	return d, nil
 }
 
@@ -139,7 +141,7 @@ func (d *Density) AggregateRate() float64 {
 // delay.
 func (d *Density) observedQueue(k int) float64 {
 	if tau := d.cfg.Classes[k].Delay; tau > 0 {
-		return d.hist.At(d.t - tau)
+		return d.hist.Lerp(0, d.t-tau)
 	}
 	return d.q
 }
@@ -172,7 +174,8 @@ func (d *Density) Step() error {
 	})
 	d.q = math.Max(d.q+(agg-d.cfg.Mu)*dt, 0)
 	d.t += dt
-	d.hist.Record(d.t, d.q, d.t-d.maxDelay-1)
+	d.hist.Append(d.t, d.q)
+	d.hist.Prune(d.t - d.maxDelay - 1)
 	d.step++
 	if rec := d.cfg.Obs; rec.Enabled() {
 		if err := d.observe(rec, agg); err != nil {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"fpcc/internal/control"
+	"fpcc/internal/history"
 )
 
 // testLaw returns the per-source AIMD law of the canonical scaled
@@ -90,17 +91,17 @@ func TestConfigHelpers(t *testing.T) {
 }
 
 func TestQHistoryInterpolation(t *testing.T) {
-	var h History
-	if got := h.At(1); got != 0 {
+	h := history.New(1)
+	if got := h.Lerp(0, 1); got != 0 {
 		t.Fatalf("empty history at(1) = %v, want 0", got)
 	}
-	h.Record(0, 10, 0)
-	h.Record(1, 20, 0)
-	h.Record(2, 0, 0)
+	h.Append(0, 10)
+	h.Append(1, 20)
+	h.Append(2, 0)
 	for _, tc := range []struct{ t, want float64 }{
 		{-1, 10}, {0, 10}, {0.5, 15}, {1, 20}, {1.75, 5}, {2, 0}, {3, 0},
 	} {
-		if got := h.At(tc.t); math.Abs(got-tc.want) > 1e-12 {
+		if got := h.Lerp(0, tc.t); math.Abs(got-tc.want) > 1e-12 {
 			t.Errorf("at(%v) = %v, want %v", tc.t, got, tc.want)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"fpcc/internal/history"
 	"fpcc/internal/obs"
 	"fpcc/internal/rng"
 	"fpcc/internal/stats"
@@ -50,7 +51,7 @@ type Particles struct {
 	t       float64
 	q       float64
 
-	hist     History
+	hist     history.Series // the queue, interpolated at t − τ
 	maxDelay float64
 	step     int64 // completed steps, stamping probes and violations
 }
@@ -99,7 +100,8 @@ func NewParticles(cfg Config, seed uint64, workers int) (*Particles, error) {
 			p.chunks = append(p.chunks, c)
 		}
 	}
-	p.hist.Record(0, p.q, 0)
+	p.hist = history.New(1)
+	p.hist.Append(0, p.q)
 	return p, nil
 }
 
@@ -177,7 +179,7 @@ func (p *Particles) AggregateRate() float64 {
 // observedQueue returns the queue class k's controllers see now.
 func (p *Particles) observedQueue(k int) float64 {
 	if tau := p.cfg.Classes[k].Delay; tau > 0 {
-		return p.hist.At(p.t - tau)
+		return p.hist.Lerp(0, p.t-tau)
 	}
 	return p.q
 }
@@ -219,7 +221,8 @@ func (p *Particles) Step() error {
 	}
 	p.q = math.Max(p.q+(agg-p.cfg.Mu)*dt, 0)
 	p.t += dt
-	p.hist.Record(p.t, p.q, p.t-p.maxDelay-1)
+	p.hist.Append(p.t, p.q)
+	p.hist.Prune(p.t - p.maxDelay - 1)
 	p.step++
 	if rec := p.cfg.Obs; rec.Enabled() {
 		if err := p.observe(rec); err != nil {

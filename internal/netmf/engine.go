@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"fpcc/internal/grid"
+	"fpcc/internal/history"
 	"fpcc/internal/meanfield"
 	"fpcc/internal/obs"
 	"fpcc/internal/parallel"
@@ -37,8 +38,8 @@ type Engine struct {
 	cfg   Config
 	kerns []*meanfield.ClassKernel
 	q     []float64
-	arr   []float64 // per-node arrival rate of the current step
-	hist  []meanfield.History
+	arr   []float64        // per-node arrival rate of the current step
+	hist  []history.Series // per-node queue, interpolated at t − τ
 	t     float64
 
 	maxDelay float64
@@ -56,7 +57,7 @@ func New(cfg Config) (*Engine, error) {
 		cfg:      cfg,
 		q:        make([]float64, len(cfg.Topology.Nodes)),
 		arr:      make([]float64, len(cfg.Topology.Nodes)),
-		hist:     make([]meanfield.History, len(cfg.Topology.Nodes)),
+		hist:     make([]history.Series, len(cfg.Topology.Nodes)),
 		maxDelay: cfg.maxDelay(),
 	}
 	copy(e.q, cfg.Q0)
@@ -68,7 +69,8 @@ func New(cfg Config) (*Engine, error) {
 		e.kerns = append(e.kerns, kern)
 	}
 	for j := range e.hist {
-		e.hist[j].Record(0, e.q[j], 0)
+		e.hist[j] = history.New(1)
+		e.hist[j].Append(0, e.q[j])
 	}
 	return e, nil
 }
@@ -173,7 +175,7 @@ func (e *Engine) PathBacklog(k int) float64 {
 	if tau := cl.Delay; tau > 0 {
 		obsT := e.t - tau
 		for _, j := range cl.Route {
-			b += e.hist[j].At(obsT)
+			b += e.hist[j].Lerp(0, obsT)
 		}
 	} else {
 		for _, j := range cl.Route {
@@ -224,7 +226,8 @@ func (e *Engine) Step() error {
 	cut := e.t - e.maxDelay - 1
 	for j := range e.q {
 		e.q[j] = math.Max(e.q[j]+(e.arr[j]-e.cfg.Topology.Nodes[j].Mu)*dt, 0)
-		e.hist[j].Record(e.t, e.q[j], cut)
+		e.hist[j].Append(e.t, e.q[j])
+		e.hist[j].Prune(cut)
 	}
 	e.step++
 	if rec := e.cfg.Obs; rec.Enabled() {

@@ -33,8 +33,8 @@
 // (experiments E30, E31).
 //
 // The per-class transport/diffusion kernel (meanfield.RateDensity)
-// and the interpolated queue history (meanfield.History) are shared
-// with the single-bottleneck engine; the topology vocabulary
+// is shared with the single-bottleneck engine, and every link's queue
+// history is the same history.Series it reads at t − τ; the topology vocabulary
 // (netsim.Topology) is shared with the packet simulator, so a
 // one-node netmf scenario reduces bit-for-bit to meanfield.Density
 // and the same graph can be handed to either engine.

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"math"
 
-	"fpcc/internal/des"
 	"fpcc/internal/eventq"
+	"fpcc/internal/history"
 	"fpcc/internal/rng"
 	"fpcc/internal/stats"
 )
@@ -57,8 +57,9 @@ type nodeState struct {
 	rng     *rng.Source
 	// Queue-length (and gateway-signal) history for delayed
 	// observation, recorded at every change and pruned outside the
-	// longest lookback window.
-	hist       des.QueueHistory
+	// longest lookback window: column 0 is the queue, column 1 (with
+	// a gateway) the gateway's wire signal.
+	hist       history.Series
 	drops      int64   // post-warmup drop-tail losses at this node
 	lastChange float64 // when the queue last changed (for time-weighted stats)
 }
@@ -189,13 +190,15 @@ func New(cfg Config) (*Sim, error) {
 	root := rng.New(cfg.Seed)
 	s := &Sim{cfg: cfg, links: links}
 	for _, nc := range cfg.Nodes {
-		ns := &nodeState{cfg: nc, rng: root.Split(), hist: des.NewQueueHistory(nc.Gateway != nil)}
-		var sig0 float64
+		ns := &nodeState{cfg: nc, rng: root.Split()}
 		if nc.Gateway != nil {
 			nc.Gateway.Reset()
-			sig0 = nc.Gateway.Signal(0, 0)
+			ns.hist = history.New(2)
+			ns.hist.Append(0, 0, nc.Gateway.Signal(0, 0))
+		} else {
+			ns.hist = history.New(1)
+			ns.hist.Append(0, 0)
 		}
-		ns.hist.Record(0, 0, sig0, 0)
 		s.nodes = append(s.nodes, ns)
 	}
 	for i, fc := range cfg.Flows {
@@ -296,14 +299,15 @@ func (s *Sim) push(e event) {
 
 // recordNode appends node h's current queue length (and gateway
 // signal) to its history, pruning samples outside the lookback
-// window occasionally.
+// window.
 func (s *Sim) recordNode(h int) {
 	ns := s.nodes[h]
-	var sig float64
 	if ns.cfg.Gateway != nil {
-		sig = ns.cfg.Gateway.Signal(s.t, ns.qLen())
+		ns.hist.Append(s.t, float64(ns.qLen()), ns.cfg.Gateway.Signal(s.t, ns.qLen()))
+	} else {
+		ns.hist.Append(s.t, float64(ns.qLen()))
 	}
-	ns.hist.Record(s.t, ns.qLen(), sig, s.t-s.maxLook-1)
+	ns.hist.Prune(s.t - s.maxLook - 1)
 }
 
 // observePath returns the congestion value flow i's controller sees:
@@ -314,9 +318,9 @@ func (s *Sim) observePath(i int, obsT float64) float64 {
 	for _, h := range fs.cfg.Route {
 		ns := s.nodes[h]
 		if ns.cfg.Gateway != nil {
-			total += ns.cfg.Gateway.Observe(ns.hist.SignalAt(obsT), fs.cfg.Law.Target(), fs.rng)
+			total += ns.cfg.Gateway.Observe(ns.hist.Hold(1, obsT), fs.cfg.Law.Target(), fs.rng)
 		} else {
-			total += ns.hist.QueueAt(obsT)
+			total += ns.hist.Hold(0, obsT)
 		}
 	}
 	return total
